@@ -36,7 +36,7 @@ use crate::persist::{self, PersistError};
 use crate::ranks;
 use crate::sst::SsTable;
 use crate::stats::{IoModel, ReadStats, ReadStatsSnapshot};
-use crate::tree::{FilterTree, TreeOptions};
+use crate::tree::{FilterTree, NodeRuns, TreeOptions};
 use crate::value::Value;
 
 /// Name of the manifest file inside a store directory.
@@ -765,9 +765,9 @@ impl Db {
         let ssts = self.ssts.read();
         match &self.tree {
             Some(tree) => {
-                let candidates = tree.read().candidates_point(key, &self.stats);
-                self.stats.record_ssts_probed(candidates.len() as u64);
-                for &i in candidates.iter().rev() {
+                let routes = tree.read().route_points(&[key], &self.stats);
+                self.stats.record_ssts_probed(routes.len() as u64);
+                for &(i, _) in routes.iter().rev() {
                     if let Some(v) = ssts[i].get(key, &self.options.io_model, &self.stats) {
                         return v.into_put();
                     }
@@ -813,10 +813,13 @@ impl Db {
     /// Batched, multi-threaded point lookup: element `i` equals
     /// `self.get(keys[i])`. The batch is split across `threads` worker
     /// threads (`0` = one per available core); each worker consults the
-    /// memtable, then fans its still-unresolved keys across the SSTs newest
-    /// to oldest through [`SsTable::get_many`], so every SST filter is probed
-    /// once per batch via bloomRF's level-grouped engine instead of once per
-    /// key.
+    /// memtable, then routes its still-unresolved keys to SSTs through
+    /// [`SsTable::get_many`], so an SST filter is probed once per batch via
+    /// bloomRF's level-grouped engine instead of once per key. Under tree
+    /// routing one descent picks each key's candidate SSTs and only those
+    /// SSTs are visited, newest first, each with just the keys routed to it
+    /// and still unresolved; under [`ReadRouting::ScanAll`] the unresolved
+    /// keys are fanned across every SST newest to oldest.
     pub fn get_batch(&self, keys: &[u64], threads: usize) -> Vec<Option<Vec<u8>>> {
         let threads = effective_threads(threads, keys.len());
         if threads <= 1 {
@@ -846,24 +849,29 @@ impl Db {
         match &self.tree {
             Some(tree) => {
                 // One tree descent for the whole chunk (memtable hits are
-                // already answered and skip the tree entirely), then each
-                // SST sees only the keys routed to it, newest first.
+                // already answered and skip the tree entirely), then only
+                // the candidate SSTs are visited, newest first, each with
+                // the keys routed to it that no newer SST has answered.
                 let open: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
                 let open_keys: Vec<u64> = open.iter().map(|&i| keys[i]).collect();
-                let candidates = tree.read().candidates_points(&open_keys, &self.stats);
-                self.stats
-                    .record_ssts_probed(candidates.iter().map(|c| c.len() as u64).sum());
-                for sst_idx in (0..ssts.len()).rev() {
-                    let routed: Vec<usize> = (0..open.len())
-                        .filter(|&j| {
-                            out[open[j]].is_none() && candidates[j].binary_search(&sst_idx).is_ok()
-                        })
-                        .collect();
+                let routes = tree.read().route_points(&open_keys, &self.stats);
+                self.stats.record_ssts_probed(routes.len() as u64);
+                let mut routed: Vec<usize> = Vec::new();
+                let mut sub_keys: Vec<u64> = Vec::new();
+                for group in NodeRuns(&routes).rev() {
+                    routed.clear();
+                    routed.extend(
+                        group
+                            .iter()
+                            .map(|&(_, j)| j)
+                            .filter(|&j| out[open[j]].is_none()),
+                    );
                     if routed.is_empty() {
                         continue;
                     }
-                    let sub_keys: Vec<u64> = routed.iter().map(|&j| open_keys[j]).collect();
-                    let found = ssts[sst_idx].get_many_with(
+                    sub_keys.clear();
+                    sub_keys.extend(routed.iter().map(|&j| open_keys[j]));
+                    let found = ssts[group[0].0].get_many_with(
                         &sub_keys,
                         &self.options.io_model,
                         &self.stats,
@@ -906,9 +914,10 @@ impl Db {
 
     /// Batched, multi-threaded range-emptiness check: element `i` equals
     /// `self.range_is_possibly_non_empty(ranges[i])` (reversed bounds are an
-    /// empty interval). Same fan-out structure as [`Db::get_batch`], with
+    /// empty interval). Same routing structure as [`Db::get_batch`], with
     /// each SST filter probed once per batch via
-    /// [`SsTable::range_non_empty_many`].
+    /// [`SsTable::range_non_empty_many`]; the routed SSTs are visited oldest
+    /// first, and a range leaves the batch at its first possible hit.
     pub fn range_non_empty_batch(&self, ranges: &[(u64, u64)], threads: usize) -> Vec<bool> {
         let threads = effective_threads(threads, ranges.len());
         if threads <= 1 {
@@ -940,18 +949,19 @@ impl Db {
             Some(tree) => {
                 let open: Vec<usize> = (0..ranges.len()).filter(|&i| !out[i]).collect();
                 let open_ranges: Vec<(u64, u64)> = open.iter().map(|&i| ranges[i]).collect();
-                let candidates = tree.read().candidates_ranges(&open_ranges, &self.stats);
-                self.stats
-                    .record_ssts_probed(candidates.iter().map(|c| c.len() as u64).sum());
-                for sst_idx in 0..ssts.len() {
-                    let routed: Vec<usize> = (0..open.len())
-                        .filter(|&j| !out[open[j]] && candidates[j].binary_search(&sst_idx).is_ok())
-                        .collect();
+                let routes = tree.read().route_ranges(&open_ranges, &self.stats);
+                self.stats.record_ssts_probed(routes.len() as u64);
+                let mut routed: Vec<usize> = Vec::new();
+                let mut sub: Vec<(u64, u64)> = Vec::new();
+                for group in NodeRuns(&routes) {
+                    routed.clear();
+                    routed.extend(group.iter().map(|&(_, j)| j).filter(|&j| !out[open[j]]));
                     if routed.is_empty() {
                         continue;
                     }
-                    let sub: Vec<(u64, u64)> = routed.iter().map(|&j| open_ranges[j]).collect();
-                    let verdicts = ssts[sst_idx].range_non_empty_many_with(
+                    sub.clear();
+                    sub.extend(routed.iter().map(|&j| open_ranges[j]));
+                    let verdicts = ssts[group[0].0].range_non_empty_many_with(
                         &sub,
                         &self.options.io_model,
                         &self.stats,
@@ -1004,9 +1014,9 @@ impl Db {
         let ssts = self.ssts.read();
         match &self.tree {
             Some(tree) => {
-                let candidates = tree.read().candidates_range(lo, hi, &self.stats);
-                self.stats.record_ssts_probed(candidates.len() as u64);
-                for &i in &candidates {
+                let routes = tree.read().route_ranges(&[(lo, hi)], &self.stats);
+                self.stats.record_ssts_probed(routes.len() as u64);
+                for &(i, _) in &routes {
                     if !ssts[i]
                         .scan(lo, hi, 1, &self.options.io_model, &self.stats)
                         .is_empty()

@@ -135,6 +135,42 @@ fn required_levels(n: usize, fanout: usize) -> usize {
     levels
 }
 
+/// The runs of a `(node, query)` slice sorted by node: one sub-slice per
+/// node, in ascending node order (`.rev()` descends, which over leaves
+/// means newest SST first). `slice::chunk_by` does this, but is newer than
+/// the crate's MSRV.
+pub(crate) struct NodeRuns<'a>(pub(crate) &'a [(usize, usize)]);
+
+impl<'a> Iterator for NodeRuns<'a> {
+    type Item = &'a [(usize, usize)];
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let node = self.0.first()?.0;
+        let (run, rest) = self.0.split_at(self.0.partition_point(|p| p.0 == node));
+        self.0 = rest;
+        Some(run)
+    }
+}
+
+impl DoubleEndedIterator for NodeRuns<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        let node = self.0.last()?.0;
+        let (rest, run) = self.0.split_at(self.0.partition_point(|p| p.0 < node));
+        self.0 = rest;
+        Some(run)
+    }
+}
+
+/// Regroup `(leaf, query)` routes into one ascending candidate list per
+/// query.
+fn per_query(n_queries: usize, routes: &[(usize, usize)]) -> Vec<Vec<usize>> {
+    let mut out = vec![Vec::new(); n_queries];
+    for &(leaf, q) in routes {
+        out[q].push(leaf);
+    }
+    out
+}
+
 /// A fan-out-`F` tree of bloomRF filters over the live SST set; leaf `i`
 /// covers SST `i` in age order. See the module docs for the design.
 pub struct FilterTree {
@@ -445,6 +481,13 @@ impl FilterTree {
     /// `keys[i]`. Each node probes its surviving queries in one call to the
     /// level-grouped batch engine.
     pub fn candidates_points(&self, keys: &[u64], stats: &ReadStats) -> Vec<Vec<usize>> {
+        per_query(keys.len(), &self.route_points(keys, stats))
+    }
+
+    /// The descent behind [`FilterTree::candidates_points`], as every
+    /// `(leaf, query)` pair it reaches, sorted by leaf, then query: the
+    /// order in which a batched read visits the SSTs.
+    pub(crate) fn route_points(&self, keys: &[u64], stats: &ReadStats) -> Vec<(usize, usize)> {
         // One probe buffer and one kernel scratch for the whole descent: the
         // tree probes thousands of per-node batches per lookup wave, so the
         // steady state must not allocate.
@@ -476,6 +519,15 @@ impl FilterTree {
     /// `ranges[i]`. Node probes reuse the two-path dyadic range lookup via
     /// [`BloomRf::contains_range_batch`].
     pub fn candidates_ranges(&self, ranges: &[(u64, u64)], stats: &ReadStats) -> Vec<Vec<usize>> {
+        per_query(ranges.len(), &self.route_ranges(ranges, stats))
+    }
+
+    /// [`FilterTree::route_points`] for a range batch.
+    pub(crate) fn route_ranges(
+        &self,
+        ranges: &[(u64, u64)],
+        stats: &ReadStats,
+    ) -> Vec<(usize, usize)> {
         // Reused across every node the descent visits, like the point path.
         let mut forward: Vec<(usize, (u64, u64))> = Vec::new();
         let mut probe: Vec<(u64, u64)> = Vec::new();
@@ -512,65 +564,74 @@ impl FilterTree {
     }
 
     /// Shared level-synchronous descent. `fence_pass` cheaply rejects a
-    /// query at a node; `filter_pass` batch-probes the survivors. Records
-    /// `tree_probes` per `(node, query)` pair visited and `ssts_pruned` per
-    /// `(query, live leaf)` pair the descent never reached.
+    /// query at a node; `filter_pass` batch-probes the survivors. Returns
+    /// the surviving `(leaf, query)` pairs sorted by leaf, then query.
+    /// Records `tree_probes` per `(node, query)` pair visited and
+    /// `ssts_pruned` per `(query, live leaf)` pair the descent never reached.
+    ///
+    /// Each level's work is one flat frontier of `(node, query)` pairs
+    /// sorted by node. Nodes are visited in ascending order and each emits
+    /// its children in ascending order, so the next frontier comes out
+    /// sorted without a sort; the two frontier buffers swap per level.
     fn descend(
         &self,
         n_queries: usize,
         fence_pass: &dyn Fn(&TreeNode, usize) -> bool,
         filter_pass: &mut FilterPass<'_>,
         stats: &ReadStats,
-    ) -> Vec<Vec<usize>> {
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); n_queries];
+    ) -> Vec<(usize, usize)> {
         if self.num_leaves() == 0 || n_queries == 0 {
-            return out;
+            return Vec::new();
         }
-        // Verdict buffer shared by every node probe in the descent.
+        // Buffers shared by every node probe in the descent.
+        let mut fenced: Vec<usize> = Vec::new();
         let mut verdicts: Vec<bool> = Vec::new();
-        let top = self.levels.len() - 1;
         // The top level is a single root by construction.
-        let mut pending: Vec<(usize, Vec<usize>)> = vec![(0, (0..n_queries).collect())];
-        for height in (0..=top).rev() {
+        let mut frontier: Vec<(usize, usize)> = (0..n_queries).map(|q| (0, q)).collect();
+        let mut next: Vec<(usize, usize)> = Vec::new();
+        for height in (0..self.levels.len()).rev() {
             let level = &self.levels[height];
-            let mut next: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-            for (idx, queries) in pending {
+            stats.record_tree_probes(frontier.len() as u64);
+            next.clear();
+            for group in NodeRuns(&frontier) {
+                let idx = group[0].0;
                 let node = &level[idx];
-                stats.record_tree_probes(queries.len() as u64);
                 if height == 0 && !node.live {
                     continue;
                 }
-                let fenced: Vec<usize> = queries
-                    .into_iter()
-                    .filter(|&q| fence_pass(node, q))
-                    .collect();
+                fenced.clear();
+                fenced.extend(
+                    group
+                        .iter()
+                        .map(|&(_, q)| q)
+                        .filter(|&q| fence_pass(node, q)),
+                );
                 if fenced.is_empty() {
                     continue;
                 }
                 filter_pass(&node.filter, &fenced, &mut verdicts);
-                for (&q, &keep) in fenced.iter().zip(verdicts.iter()) {
-                    if !keep {
-                        continue;
-                    }
-                    if height == 0 {
-                        out[q].push(idx);
-                    } else {
-                        let first = idx * self.fanout;
-                        let last = (first + self.fanout).min(self.levels[height - 1].len());
-                        for child in first..last {
-                            next.entry(child).or_default().push(q);
-                        }
-                    }
+                let kept = || {
+                    fenced
+                        .iter()
+                        .zip(verdicts.iter())
+                        .filter(|&(_, &keep)| keep)
+                        .map(|(&q, _)| q)
+                };
+                // A leaf passes itself on: the last frontier is the result.
+                let children = if height == 0 {
+                    idx..idx + 1
+                } else {
+                    let first = idx * self.fanout;
+                    first..(first + self.fanout).min(self.levels[height - 1].len())
+                };
+                for child in children {
+                    next.extend(kept().map(|q| (child, q)));
                 }
             }
-            pending = next.into_iter().collect();
+            std::mem::swap(&mut frontier, &mut next);
         }
-        let pruned: u64 = out
-            .iter()
-            .map(|candidates| (self.live_leaves - candidates.len()) as u64)
-            .sum();
-        stats.record_ssts_pruned(pruned);
-        out
+        stats.record_ssts_pruned((n_queries * self.live_leaves - frontier.len()) as u64);
+        frontier
     }
 
     /// Serialize the tree into the checksummed `TREE` wire format (see
@@ -843,6 +904,47 @@ mod tests {
         let batch = tree.candidates_points(&keys, &stats);
         for (&k, candidates) in keys.iter().zip(&batch) {
             assert_eq!(*candidates, tree.candidates_point(k, &stats));
+        }
+    }
+
+    #[test]
+    fn batched_descent_counters_match_singles() {
+        let (ssts, mut tree) = build_fixture(FilterKind::BloomRf { max_range: 1e4 });
+        let keys: Vec<u64> = (0..40u64).map(|i| i * 317).collect();
+        let ranges = [
+            (0u64, 5u64),
+            (995, 1005),
+            (3005, 3008),
+            (10, 5), // reversed: descends everywhere
+            (500, 520),
+            (20_000, 30_000),
+            (11_030, 11_030),
+        ];
+        let counters = |stats: &ReadStats| {
+            let snap = stats.snapshot();
+            (snap.tree_probes, snap.ssts_pruned)
+        };
+        // Run twice: on the full tree, then with a retired leaf, whose
+        // visits still count as probes.
+        for retire in [false, true] {
+            if retire {
+                tree.retire_leaf(5, &ssts, &ReadStats::new());
+            }
+            let (batched, singles) = (ReadStats::new(), ReadStats::new());
+            tree.candidates_points(&keys, &batched);
+            for &k in &keys {
+                tree.candidates_point(k, &singles);
+            }
+            assert_eq!(counters(&batched), counters(&singles), "points");
+            assert!(counters(&batched).0 > keys.len() as u64);
+
+            let (batched, singles) = (ReadStats::new(), ReadStats::new());
+            tree.candidates_ranges(&ranges, &batched);
+            for &(lo, hi) in &ranges {
+                tree.candidates_range(lo, hi, &singles);
+            }
+            assert_eq!(counters(&batched), counters(&singles), "ranges");
+            assert!(counters(&batched).0 > ranges.len() as u64);
         }
     }
 

@@ -177,11 +177,68 @@ fn thousand_ssts_point_gets_probe_fanout_times_depth_not_one_thousand() {
     assert!(stats.effective_fpr() < 0.05);
 }
 
+/// Drive a scan-all and a tree-routed store through the same write stream
+/// and require every read API to answer identically. Every third write
+/// overwrites an older key (newest-wins crosses SSTs); with `delete_every =
+/// d > 0` every `d`-th write also deletes an older key, so a newer
+/// tombstone must block an older put. The point probes repeat half the
+/// written keys, so one batch holds the same key twice. Returns the
+/// tree-routed store.
+fn check_routed_matches_scan_all(
+    keys: &[u64],
+    delete_every: usize,
+    extra_probes: &[u64],
+    ranges: &[(u64, u64)],
+    fanout: usize,
+    flush_entries: usize,
+    final_flush: bool,
+) -> Db {
+    let scan = Db::new(options(flush_entries, ReadRouting::ScanAll));
+    let routed = Db::new(options(flush_entries, tree_routing(fanout)));
+    for (i, &k) in keys.iter().enumerate() {
+        let v = value_for(k, i);
+        scan.put(k, v.clone());
+        routed.put(k, v);
+        if i % 3 == 0 {
+            let older = keys[i / 2];
+            let v = value_for(older, i + 1);
+            scan.put(older, v.clone());
+            routed.put(older, v);
+        }
+        if deletes_at(i, delete_every) {
+            let older = keys[i / 3];
+            scan.delete(older);
+            routed.delete(older);
+        }
+    }
+    if final_flush {
+        scan.flush();
+        routed.flush();
+    }
+    assert_eq!(scan.num_ssts(), routed.num_ssts());
+
+    let mut probes: Vec<u64> = keys.to_vec();
+    probes.extend_from_slice(extra_probes);
+    probes.extend(keys.iter().step_by(2));
+    // Deliberately include reversed ranges: they must answer exactly like
+    // scan-all (the tree never prunes a reversed interval).
+    let mut all_ranges = ranges.to_vec();
+    all_ranges.extend(
+        keys.iter()
+            .map(|&k| (k.saturating_add(10), k.saturating_sub(10))),
+    );
+    all_ranges.extend(keys.iter().step_by(3).map(|&k| (k, k)));
+    assert_reads_identical(&scan, &routed, &probes, &all_ranges, "in-memory");
+    routed
+}
+
 proptest! {
     /// Tree-routed `get`/`get_batch`/`range_non_empty{,_batch}`/`scan` are
     /// byte-identical to the scan-all path across random keyspaces,
-    /// fan-outs, overwrites (newest-wins) and reversed ranges, with data
-    /// split between memtable and SSTs.
+    /// fan-outs, overwrites (newest-wins), deletes whose tombstones land in
+    /// newer SSTs than the puts they shadow, duplicate keys within one
+    /// batch and reversed ranges, with data split between memtable and
+    /// SSTs.
     #[test]
     fn tree_routed_reads_match_scan_all(
         keys in proptest::collection::vec(any::<u64>(), 1..300),
@@ -189,36 +246,100 @@ proptest! {
         ranges in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..50),
         fanout in 2usize..9,
         flush_entries in 8usize..64,
+        delete_every in 0usize..8,
         final_flush in any::<bool>(),
     ) {
-        let scan = Db::new(options(flush_entries, ReadRouting::ScanAll));
-        let routed = Db::new(options(flush_entries, tree_routing(fanout)));
-        for (i, &k) in keys.iter().enumerate() {
-            let v = value_for(k, i);
-            scan.put(k, v.clone());
-            routed.put(k, v);
-            if i % 3 == 0 {
-                // Overwrite an earlier key so newest-wins crosses SSTs.
-                let older = keys[i / 2];
-                let v = value_for(older, i + 1);
-                scan.put(older, v.clone());
-                routed.put(older, v);
+        check_routed_matches_scan_all(
+            &keys,
+            delete_every,
+            &extra_probes,
+            &ranges,
+            fanout,
+            flush_entries,
+            final_flush,
+        );
+    }
+}
+
+/// The same differential at 300+ SSTs and fan-out 4, over a keyspace small
+/// enough that every SST's fence spans most of it: keys are overwritten
+/// and deleted across many SSTs, so a batch key has several candidate SSTs,
+/// and sibling leaves of the true owners pass as false positives.
+#[test]
+fn tree_routed_reads_match_scan_all_at_300_ssts() {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let keys: Vec<u64> = (0..1_800)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % 1_024 * 2 // even keys; odd keys are never written
+        })
+        .collect();
+    let absent: Vec<u64> = keys.iter().map(|&k| k + 1).collect();
+    let ranges: Vec<(u64, u64)> = (0..2_048u64)
+        .step_by(7)
+        .map(|lo| (lo, lo + (lo % 5)))
+        .collect();
+    let flush_entries = 8;
+    let routed = check_routed_matches_scan_all(&keys, 5, &absent, &ranges, 4, flush_entries, true);
+    assert!(routed.num_ssts() >= 300, "{} SSTs", routed.num_ssts());
+
+    // Candidates per present key: more than one SST owns most keys, and
+    // the tree adds false-positive leaves on top of every true owner.
+    let present: Vec<u64> = keys.iter().copied().step_by(3).collect();
+    routed.reset_stats();
+    routed.get_batch(&present, 1);
+    let candidates = routed.stats().ssts_probed;
+    let owners = sst_owners(&keys, 5, flush_entries);
+    let true_owners: u64 = present.iter().map(|k| owners[k]).sum();
+    assert!(
+        true_owners > 2 * present.len() as u64,
+        "keys must live in several SSTs: {true_owners} owners for {} keys",
+        present.len()
+    );
+    assert!(
+        candidates > true_owners,
+        "expected false-positive leaves: {candidates} candidates, {true_owners} owners"
+    );
+}
+
+/// Does write `i` of the differential stream also delete an older key?
+fn deletes_at(i: usize, delete_every: usize) -> bool {
+    delete_every != 0 && i % delete_every == delete_every - 1
+}
+
+/// How many SSTs hold each key (as a put or a tombstone) after
+/// [`check_routed_matches_scan_all`]'s write stream with a final flush: the
+/// memtable flushes whenever it holds `flush_entries` distinct keys.
+fn sst_owners(
+    keys: &[u64],
+    delete_every: usize,
+    flush_entries: usize,
+) -> std::collections::HashMap<u64, u64> {
+    let mut owners = std::collections::HashMap::new();
+    let mut memtable = std::collections::HashSet::new();
+    let mut write = |k: u64, memtable: &mut std::collections::HashSet<u64>| {
+        memtable.insert(k);
+        if memtable.len() >= flush_entries {
+            for k in memtable.drain() {
+                *owners.entry(k).or_insert(0) += 1;
             }
         }
-        if final_flush {
-            scan.flush();
-            routed.flush();
+    };
+    for (i, &k) in keys.iter().enumerate() {
+        write(k, &mut memtable);
+        if i % 3 == 0 {
+            write(keys[i / 2], &mut memtable);
         }
-        prop_assert_eq!(scan.num_ssts(), routed.num_ssts());
-
-        let mut probes: Vec<u64> = keys.clone();
-        probes.extend_from_slice(&extra_probes);
-        // Deliberately include reversed ranges: they must answer exactly
-        // like scan-all (the tree never prunes a reversed interval).
-        let mut all_ranges = ranges.clone();
-        all_ranges.extend(keys.iter().map(|&k| (k.saturating_add(10), k.saturating_sub(10))));
-        assert_reads_identical(&scan, &routed, &probes, &all_ranges, "in-memory");
+        if deletes_at(i, delete_every) {
+            write(keys[i / 3], &mut memtable);
+        }
     }
+    for k in memtable.drain() {
+        *owners.entry(k).or_insert(0) += 1;
+    }
+    owners
 }
 
 /// Fault-injected recovery: persist a tree-routed store, flip a bit inside
