@@ -34,7 +34,7 @@ use crate::io::{read_with_retry, RealIo, StorageIo};
 use crate::memtable::MemTable;
 use crate::persist::{self, PersistError};
 use crate::ranks;
-use crate::sst::SsTable;
+use crate::sst::{SsTable, SstProbeScratch};
 use crate::stats::{IoModel, ReadStats, ReadStatsSnapshot};
 use crate::tree::{FilterTree, NodeRuns, TreeOptions};
 use crate::value::Value;
@@ -82,11 +82,14 @@ impl Default for DbOptions {
 }
 
 /// How [`Db::get`], [`Db::get_batch`], [`Db::range_is_possibly_non_empty`]
-/// and [`Db::range_non_empty_batch`] select the SSTs to probe.
+/// and [`Db::range_non_empty_batch`] select the SSTs to probe. Routing only
+/// picks `(SST, query)` pairs; every read then visits its pairs through the
+/// same point and range visitors.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ReadRouting {
-    /// Probe every live SST newest-to-oldest — the pre-tree behaviour, kept
-    /// as the reference path for differential tests and benchmarks.
+    /// Pair every live SST with every query the memtable left open: no
+    /// pruning. Kept as the reference the differential tests compare
+    /// [`ReadRouting::FilterTree`] against, and as a benchmark baseline.
     ScanAll,
     /// Descend a Bloofi-style [`FilterTree`] and probe only the surviving
     /// candidate SSTs (see `docs/filter-tree.md`). Routed reads return
@@ -754,36 +757,17 @@ impl Db {
         }))
     }
 
-    /// Point lookup: memtable first, then SSTs newest to oldest. Under tree
-    /// routing only the tree's candidate SSTs are probed (newest first, so
-    /// the freshest version still wins). A tombstone answers the lookup with
-    /// `None` — older tables are never consulted past it.
+    /// Point lookup: memtable first, then the SSTs the read router picks,
+    /// newest to oldest. A tombstone answers the lookup with `None` — older
+    /// tables are never consulted past it.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
         if let Some(v) = self.memtable.get(key) {
             return v.into_put();
         }
-        let ssts = self.ssts.read();
-        match &self.tree {
-            Some(tree) => {
-                let routes = tree.read().route_points(&[key], &self.stats);
-                self.stats.record_ssts_probed(routes.len() as u64);
-                for &(i, _) in routes.iter().rev() {
-                    if let Some(v) = ssts[i].get(key, &self.options.io_model, &self.stats) {
-                        return v.into_put();
-                    }
-                }
-                None
-            }
-            None => {
-                self.stats.record_ssts_probed(ssts.len() as u64);
-                for sst in ssts.iter().rev() {
-                    if let Some(v) = sst.get(key, &self.options.io_model, &self.stats) {
-                        return v.into_put();
-                    }
-                }
-                None
-            }
-        }
+        let mut out = [None];
+        self.visit_points(&[key], &mut out);
+        let [v] = out;
+        v.and_then(Value::into_put)
     }
 
     /// Range scan over `[lo, hi]`, returning up to `limit` entries in key
@@ -812,101 +796,20 @@ impl Db {
 
     /// Batched, multi-threaded point lookup: element `i` equals
     /// `self.get(keys[i])`. The batch is split across `threads` worker
-    /// threads (`0` = one per available core); each worker consults the
-    /// memtable, then routes its still-unresolved keys to SSTs through
-    /// [`SsTable::get_many`], so an SST filter is probed once per batch via
-    /// bloomRF's level-grouped engine instead of once per key. Under tree
-    /// routing one descent picks each key's candidate SSTs and only those
-    /// SSTs are visited, newest first, each with just the keys routed to it
-    /// and still unresolved; under [`ReadRouting::ScanAll`] the unresolved
-    /// keys are fanned across every SST newest to oldest.
+    /// threads (`0` = one per available core). Each worker answers what it
+    /// can from the memtable and hands the rest, as one batch, to the same
+    /// point visitor [`Db::get`] uses: one routing pass for the batch, then
+    /// each routed SST is visited once, newest first, with the keys routed
+    /// to it that no newer SST has answered. Several such keys share one
+    /// batched filter probe ([`SsTable::get_many_with`]).
     pub fn get_batch(&self, keys: &[u64], threads: usize) -> Vec<Option<Vec<u8>>> {
-        let threads = effective_threads(threads, keys.len());
-        if threads <= 1 {
-            return self.get_chunk(keys);
-        }
-        let chunk = keys.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = keys
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || self.get_chunk(part)))
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("reader thread panicked"))
-                .collect()
-        })
+        split_across_threads(keys, threads, |part| self.get_chunk(part))
     }
 
-    /// One worker's share of [`Db::get_batch`]. Tracks versioned values
-    /// internally so a tombstone hit in a newer table blocks older tables,
-    /// exactly like [`Db::get`].
+    /// One worker's share of [`Db::get_batch`].
     fn get_chunk(&self, keys: &[u64]) -> Vec<Option<Vec<u8>>> {
         let mut out: Vec<Option<Value>> = keys.iter().map(|&k| self.memtable.get(k)).collect();
-        let ssts = self.ssts.read();
-        // One set of probe buffers per worker, reused across every SST.
-        let mut scratch = crate::sst::SstProbeScratch::default();
-        match &self.tree {
-            Some(tree) => {
-                // One tree descent for the whole chunk (memtable hits are
-                // already answered and skip the tree entirely), then only
-                // the candidate SSTs are visited, newest first, each with
-                // the keys routed to it that no newer SST has answered.
-                let open: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
-                let open_keys: Vec<u64> = open.iter().map(|&i| keys[i]).collect();
-                let routes = tree.read().route_points(&open_keys, &self.stats);
-                self.stats.record_ssts_probed(routes.len() as u64);
-                let mut routed: Vec<usize> = Vec::new();
-                let mut sub_keys: Vec<u64> = Vec::new();
-                for group in NodeRuns(&routes).rev() {
-                    routed.clear();
-                    routed.extend(
-                        group
-                            .iter()
-                            .map(|&(_, j)| j)
-                            .filter(|&j| out[open[j]].is_none()),
-                    );
-                    if routed.is_empty() {
-                        continue;
-                    }
-                    sub_keys.clear();
-                    sub_keys.extend(routed.iter().map(|&j| open_keys[j]));
-                    let found = ssts[group[0].0].get_many_with(
-                        &sub_keys,
-                        &self.options.io_model,
-                        &self.stats,
-                        &mut scratch,
-                    );
-                    for (&j, value) in routed.iter().zip(found) {
-                        if value.is_some() {
-                            out[open[j]] = value;
-                        }
-                    }
-                }
-            }
-            None => {
-                for sst in ssts.iter().rev() {
-                    let unresolved: Vec<usize> =
-                        (0..keys.len()).filter(|&i| out[i].is_none()).collect();
-                    if unresolved.is_empty() {
-                        break;
-                    }
-                    self.stats.record_ssts_probed(unresolved.len() as u64);
-                    let sub_keys: Vec<u64> = unresolved.iter().map(|&i| keys[i]).collect();
-                    let found = sst.get_many_with(
-                        &sub_keys,
-                        &self.options.io_model,
-                        &self.stats,
-                        &mut scratch,
-                    );
-                    for (&i, value) in unresolved.iter().zip(found) {
-                        if value.is_some() {
-                            out[i] = value;
-                        }
-                    }
-                }
-            }
-        }
+        visit_open(keys, &mut out, |open, found| self.visit_points(open, found));
         out.into_iter()
             .map(|v| v.and_then(Value::into_put))
             .collect()
@@ -914,94 +817,28 @@ impl Db {
 
     /// Batched, multi-threaded range-emptiness check: element `i` equals
     /// `self.range_is_possibly_non_empty(ranges[i])` (reversed bounds are an
-    /// empty interval). Same routing structure as [`Db::get_batch`], with
-    /// each SST filter probed once per batch via
-    /// [`SsTable::range_non_empty_many`]; the routed SSTs are visited oldest
-    /// first, and a range leaves the batch at its first possible hit.
+    /// empty interval). Split across workers like [`Db::get_batch`]; each
+    /// worker hands the ranges its memtable pass left open to the range
+    /// visitor [`Db::range_is_possibly_non_empty`] uses.
     pub fn range_non_empty_batch(&self, ranges: &[(u64, u64)], threads: usize) -> Vec<bool> {
-        let threads = effective_threads(threads, ranges.len());
-        if threads <= 1 {
-            return self.range_chunk(ranges);
-        }
-        let chunk = ranges.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = ranges
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || self.range_chunk(part)))
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("reader thread panicked"))
-                .collect()
-        })
+        split_across_threads(ranges, threads, |part| self.range_chunk(part))
     }
 
     /// One worker's share of [`Db::range_non_empty_batch`].
     fn range_chunk(&self, ranges: &[(u64, u64)]) -> Vec<bool> {
         let mut out: Vec<bool> = ranges
             .iter()
-            .map(|&(lo, hi)| lo <= hi && self.memtable.first_in_range(lo, hi).is_some())
+            .map(|&(lo, hi)| self.memtable.first_in_range(lo, hi).is_some())
             .collect();
-        let ssts = self.ssts.read();
-        // One set of probe buffers per worker, reused across every SST.
-        let mut scratch = crate::sst::SstProbeScratch::default();
-        match &self.tree {
-            Some(tree) => {
-                let open: Vec<usize> = (0..ranges.len()).filter(|&i| !out[i]).collect();
-                let open_ranges: Vec<(u64, u64)> = open.iter().map(|&i| ranges[i]).collect();
-                let routes = tree.read().route_ranges(&open_ranges, &self.stats);
-                self.stats.record_ssts_probed(routes.len() as u64);
-                let mut routed: Vec<usize> = Vec::new();
-                let mut sub: Vec<(u64, u64)> = Vec::new();
-                for group in NodeRuns(&routes) {
-                    routed.clear();
-                    routed.extend(group.iter().map(|&(_, j)| j).filter(|&j| !out[open[j]]));
-                    if routed.is_empty() {
-                        continue;
-                    }
-                    sub.clear();
-                    sub.extend(routed.iter().map(|&j| open_ranges[j]));
-                    let verdicts = ssts[group[0].0].range_non_empty_many_with(
-                        &sub,
-                        &self.options.io_model,
-                        &self.stats,
-                        &mut scratch,
-                    );
-                    for (&j, hit) in routed.iter().zip(verdicts) {
-                        if hit {
-                            out[open[j]] = true;
-                        }
-                    }
-                }
-            }
-            None => {
-                for sst in ssts.iter() {
-                    let unresolved: Vec<usize> = (0..ranges.len()).filter(|&i| !out[i]).collect();
-                    if unresolved.is_empty() {
-                        break;
-                    }
-                    self.stats.record_ssts_probed(unresolved.len() as u64);
-                    let sub: Vec<(u64, u64)> = unresolved.iter().map(|&i| ranges[i]).collect();
-                    let verdicts = sst.range_non_empty_many_with(
-                        &sub,
-                        &self.options.io_model,
-                        &self.stats,
-                        &mut scratch,
-                    );
-                    for (&i, hit) in unresolved.iter().zip(verdicts) {
-                        if hit {
-                            out[i] = true;
-                        }
-                    }
-                }
-            }
-        }
+        visit_open(ranges, &mut out, |open, found| {
+            self.visit_ranges(open, found)
+        });
         out
     }
 
     /// Range emptiness check (the filter-driven fast path the paper measures):
     /// like [`Db::scan`] with `limit = 1` but without materializing values.
-    /// Under tree routing only the tree's candidate SSTs are consulted.
+    /// Only the SSTs the read router picks are consulted, oldest first.
     ///
     /// This is a *possibly*-non-empty verdict with no false negatives: any
     /// entry in the range — a tombstone included — counts as a possible hit,
@@ -1011,33 +848,83 @@ impl Db {
         if self.memtable.first_in_range(lo, hi).is_some() {
             return true;
         }
+        let mut out = [false];
+        self.visit_ranges(&[(lo, hi)], &mut out);
+        out[0]
+    }
+
+    /// The router: every `(sst, query)` pair a read visits, sorted by SST,
+    /// then query. Tree routing yields the `(leaf, query)` pairs its
+    /// descent (`descend`) reaches; scan-all pairs every live SST with
+    /// every query. This is the only place the read path looks at the
+    /// routing, and it counts the pairs in `ssts_probed`.
+    fn route(
+        &self,
+        n_ssts: usize,
+        n_queries: usize,
+        descend: impl FnOnce(&FilterTree, &ReadStats) -> Vec<(usize, usize)>,
+    ) -> Vec<(usize, usize)> {
+        let routes: Vec<(usize, usize)> = match &self.tree {
+            Some(tree) => descend(&tree.read(), &self.stats),
+            None => (0..n_ssts)
+                .flat_map(|sst| (0..n_queries).map(move |q| (sst, q)))
+                .collect(),
+        };
+        self.stats.record_ssts_probed(routes.len() as u64);
+        routes
+    }
+
+    /// The point visitor: answer `keys`, none resolved yet, from the routed
+    /// SSTs. `out[i]` becomes the newest version of `keys[i]`, a tombstone
+    /// included. SSTs are visited newest first, each with the keys routed
+    /// to it that no newer SST has answered, so a tombstone shadows every
+    /// older table. One such key goes through [`SsTable::get`]; several
+    /// share one batched filter probe through [`SsTable::get_many_with`].
+    fn visit_points(&self, keys: &[u64], out: &mut [Option<Value>]) {
         let ssts = self.ssts.read();
-        match &self.tree {
-            Some(tree) => {
-                let routes = tree.read().route_ranges(&[(lo, hi)], &self.stats);
-                self.stats.record_ssts_probed(routes.len() as u64);
-                for &(i, _) in &routes {
-                    if !ssts[i]
-                        .scan(lo, hi, 1, &self.options.io_model, &self.stats)
-                        .is_empty()
-                    {
-                        return true;
+        let routes = self.route(ssts.len(), keys.len(), |tree, stats| {
+            tree.route_points(keys, stats)
+        });
+        let io = &self.options.io_model;
+        // Batch buffers, reused across SSTs; a single `get` never fills them.
+        let mut scratch = SstProbeScratch::default();
+        let mut open: Vec<usize> = Vec::new();
+        let mut sub_keys: Vec<u64> = Vec::new();
+        for run in NodeRuns(&routes).rev() {
+            let sst = &ssts[run[0].0];
+            let mut unresolved = run.iter().map(|&(_, q)| q).filter(|&q| out[q].is_none());
+            match (unresolved.next(), unresolved.next()) {
+                (None, _) => {}
+                (Some(q), None) => out[q] = sst.get(keys[q], io, &self.stats),
+                _ => {
+                    open.clear();
+                    open.extend(run.iter().map(|&(_, q)| q).filter(|&q| out[q].is_none()));
+                    sub_keys.clear();
+                    sub_keys.extend(open.iter().map(|&q| keys[q]));
+                    let found = sst.get_many_with(&sub_keys, io, &self.stats, &mut scratch);
+                    for (&q, value) in open.iter().zip(found) {
+                        out[q] = value;
                     }
                 }
-                false
             }
-            None => {
-                self.stats.record_ssts_probed(ssts.len() as u64);
-                for sst in ssts.iter() {
-                    if !sst
-                        .scan(lo, hi, 1, &self.options.io_model, &self.stats)
-                        .is_empty()
-                    {
-                        return true;
-                    }
-                }
-                false
-            }
+        }
+    }
+
+    /// The range visitor: `out[i]` becomes `true` once a routed SST holds an
+    /// entry (a tombstone included) in `ranges[i]`. The pairs are visited
+    /// oldest SST first, one at a time through `SsTable::scan(lo, hi, 1)`,
+    /// skipping ranges an earlier SST already answered.
+    fn visit_ranges(&self, ranges: &[(u64, u64)], out: &mut [bool]) {
+        let ssts = self.ssts.read();
+        let routes = self.route(ssts.len(), ranges.len(), |tree, stats| {
+            tree.route_ranges(ranges, stats)
+        });
+        for &(sst, q) in &routes {
+            let (lo, hi) = ranges[q];
+            out[q] = out[q]
+                || !ssts[sst]
+                    .scan(lo, hi, 1, &self.options.io_model, &self.stats)
+                    .is_empty();
         }
     }
 
@@ -1258,6 +1145,49 @@ fn effective_threads(requested: usize, items: usize) -> usize {
         requested
     };
     requested.clamp(1, items.max(1))
+}
+
+/// Split `items` across `threads` scoped workers (see [`effective_threads`])
+/// and concatenate their answers in order.
+fn split_across_threads<Q: Sync, A: Send>(
+    items: &[Q],
+    threads: usize,
+    work: impl Fn(&[Q]) -> Vec<A> + Sync,
+) -> Vec<A> {
+    let threads = effective_threads(threads, items.len());
+    if threads <= 1 {
+        return work(items);
+    }
+    let chunk = items.len().div_ceil(threads);
+    let work = &work;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = items
+            .chunks(chunk)
+            .map(|part| scope.spawn(move || work(part)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("reader thread panicked"))
+            .collect()
+    })
+}
+
+/// Hand the queries whose answer is still the default (the memtable left
+/// them open) to `visit` as one batch, and scatter its answers back.
+fn visit_open<Q: Copy, A: Default + PartialEq>(
+    queries: &[Q],
+    out: &mut [A],
+    visit: impl FnOnce(&[Q], &mut [A]),
+) {
+    let open: Vec<usize> = (0..queries.len())
+        .filter(|&i| out[i] == A::default())
+        .collect();
+    let open_queries: Vec<Q> = open.iter().map(|&i| queries[i]).collect();
+    let mut found: Vec<A> = open.iter().map(|_| A::default()).collect();
+    visit(&open_queries, &mut found);
+    for (i, answer) in open.into_iter().zip(found) {
+        out[i] = answer;
+    }
 }
 
 #[cfg(test)]
@@ -1564,6 +1494,55 @@ mod tests {
                 expected,
                 "threads={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn batched_reads_count_the_same_work_as_single_reads() {
+        for routing in [ReadRouting::ScanAll, ReadRouting::default()] {
+            let db = Db::new(DbOptions {
+                routing,
+                ..small_db(FilterKind::BloomRf { max_range: 1e6 }).options
+            });
+            for i in 0..3500u64 {
+                db.put(i * 50, vec![1]);
+            }
+            for i in (0..3500u64).step_by(7) {
+                db.delete(i * 50);
+            }
+            assert!(db.num_ssts() >= 3 && db.memtable_len() > 0);
+            let probes: Vec<u64> = (0..600u64).map(|i| i * 300 + i % 2 * 13).collect();
+            let ranges: Vec<(u64, u64)> = (0..600u64)
+                .map(|i| match i % 3 {
+                    0 => (i * 300, i * 300 + 60),
+                    1 => (i * 300 + 1, i * 300 + 40),
+                    _ => (i * 300 + 40, i * 300), // reversed
+                })
+                .collect();
+            let work = |db: &Db| {
+                let s = db.stats();
+                (s.ssts_probed, s.filter_probes, s.blocks_read)
+            };
+
+            db.reset_stats();
+            for &k in &probes {
+                db.get(k);
+            }
+            let singles = work(&db);
+            assert!(singles.0 > 0 && singles.1 > 0 && singles.2 > 0);
+            db.reset_stats();
+            db.get_batch(&probes, 1);
+            assert_eq!(work(&db), singles, "{routing:?}: points");
+
+            db.reset_stats();
+            for &(lo, hi) in &ranges {
+                db.range_is_possibly_non_empty(lo, hi);
+            }
+            let singles = work(&db);
+            assert!(singles.0 > 0 && singles.1 > 0 && singles.2 > 0);
+            db.reset_stats();
+            db.range_non_empty_batch(&ranges, 1);
+            assert_eq!(work(&db), singles, "{routing:?}: ranges");
         }
     }
 

@@ -24,21 +24,18 @@ use crate::persist::{self, Corruption, TOMBSTONE_FLAG};
 use crate::stats::{IoModel, ReadStats};
 use crate::value::Value;
 
-/// Reusable probe buffers for the batched SST read paths
-/// ([`SsTable::get_many_with`], [`SsTable::range_non_empty_many_with`]).
+/// Reusable probe buffers for the batched SST point lookup
+/// ([`SsTable::get_many_with`]).
 ///
-/// A batched lookup fans one query batch across every candidate SST; holding
+/// A batched lookup fans one key batch across its candidate SSTs; holding
 /// one scratch per worker keeps that inner loop free of per-table
-/// allocations. All buffers are cleared on entry, so a scratch can be shared
-/// freely between point and range calls.
+/// allocations. All buffers are cleared on entry.
 #[derive(Default)]
 pub struct SstProbeScratch {
     /// Indices of the batch elements that survive the fence check.
     selected: Vec<usize>,
-    /// Keys handed to the filter (point path).
+    /// Keys handed to the filter.
     probe_keys: Vec<u64>,
-    /// Ranges handed to the filter (range path).
-    probe_ranges: Vec<(u64, u64)>,
     /// Filter verdicts for the selected elements.
     verdicts: Vec<bool>,
 }
@@ -322,17 +319,13 @@ impl SsTable {
         result
     }
 
-    /// Batched point lookup: probes the filter once for the whole batch via
+    /// Batched point lookup with caller-owned probe buffers: probes the
+    /// filter once for the whole batch via
     /// [`PointRangeFilter::may_contain_batch_into`] (bloomRF's engine groups
     /// the probes per dyadic level), then reads blocks only for the
-    /// positives. Element `i` equals `self.get(keys[i], ..)`.
-    pub fn get_many(&self, keys: &[u64], io: &IoModel, stats: &ReadStats) -> Vec<Option<Value>> {
-        self.get_many_with(keys, io, stats, &mut SstProbeScratch::default())
-    }
-
-    /// [`SsTable::get_many`] with caller-owned probe buffers, so a lookup
-    /// wave that fans one batch across many SSTs reuses one allocation
-    /// instead of paying three per table.
+    /// positives. Element `i` equals `self.get(keys[i], ..)`. A lookup wave
+    /// that fans one batch across many SSTs reuses one `scratch` instead of
+    /// paying three allocations per table.
     pub fn get_many_with(
         &self,
         keys: &[u64],
@@ -364,83 +357,6 @@ impl SsTable {
             if positive {
                 out[i] = self.lookup_after_filter(keys[i], io, stats);
             }
-        }
-        out
-    }
-
-    /// Batched range-emptiness check: element `i` is `true` iff the table
-    /// holds at least one entry in `ranges[i]` — tombstones included, since a
-    /// tombstone both keeps the filter positive and shadows older tables (the
-    /// check is a *possibly non-empty* filter verdict, never a false
-    /// negative). The filter is consulted once for the whole batch; positives
-    /// are confirmed against the data blocks (equivalent to
-    /// `!self.scan(lo, hi, 1, ..).is_empty()`).
-    pub fn range_non_empty_many(
-        &self,
-        ranges: &[(u64, u64)],
-        io: &IoModel,
-        stats: &ReadStats,
-    ) -> Vec<bool> {
-        self.range_non_empty_many_with(ranges, io, stats, &mut SstProbeScratch::default())
-    }
-
-    /// [`SsTable::range_non_empty_many`] with caller-owned probe buffers
-    /// (see [`SsTable::get_many_with`]).
-    pub fn range_non_empty_many_with(
-        &self,
-        ranges: &[(u64, u64)],
-        io: &IoModel,
-        stats: &ReadStats,
-        scratch: &mut SstProbeScratch,
-    ) -> Vec<bool> {
-        let mut out = vec![false; ranges.len()];
-        scratch.selected.clear();
-        scratch.selected.extend((0..ranges.len()).filter(|&i| {
-            let (lo, hi) = ranges[i];
-            lo <= hi && hi >= self.key_range.0 && lo <= self.key_range.1
-        }));
-        if scratch.selected.is_empty() {
-            return out;
-        }
-        scratch.probe_ranges.clear();
-        scratch
-            .probe_ranges
-            .extend(scratch.selected.iter().map(|&i| ranges[i]));
-        let start = Instant::now();
-        self.filter
-            .may_contain_range_batch_into(&scratch.probe_ranges, &mut scratch.verdicts);
-        let per_probe_ns =
-            (start.elapsed().as_nanos() as u64) / scratch.probe_ranges.len().max(1) as u64;
-        for (&i, &positive) in scratch.selected.iter().zip(scratch.verdicts.iter()) {
-            stats.record_filter_probe(positive, per_probe_ns);
-            if !positive {
-                continue;
-            }
-            let (lo, hi) = ranges[i];
-            let cpu_start = Instant::now();
-            let mut blocks_read = 0u64;
-            let mut found = false;
-            let first_block = self.index.partition_point(|&(_, last, _)| last < lo);
-            for block_idx in first_block..self.index.len() {
-                if self.index[block_idx].0 > hi {
-                    break;
-                }
-                blocks_read += 1;
-                if self
-                    .decode_block(block_idx)
-                    .iter()
-                    .any(|&(key, _)| key >= lo && key <= hi)
-                {
-                    found = true;
-                    break;
-                }
-            }
-            stats.record_block_reads(blocks_read, io);
-            stats.record_cpu(cpu_start.elapsed().as_nanos() as u64);
-            if !found {
-                stats.record_false_positive();
-            }
-            out[i] = found;
         }
         out
     }
@@ -569,8 +485,8 @@ mod tests {
         assert_eq!(stats.snapshot().false_positives, 0);
         // Tombstones keep ranges "possibly non-empty" (no false negatives).
         assert_eq!(
-            sst.range_non_empty_many(&[(19, 21)], &io, &stats),
-            vec![true]
+            sst.scan(19, 21, 1, &io, &stats),
+            vec![(20, Value::Tombstone)]
         );
         // Serialization roundtrips tombstones bit-exactly.
         let restored = SsTable::from_bytes(&sst.to_bytes(), &stats).unwrap();
@@ -677,34 +593,12 @@ mod tests {
                 _ => 20_000 + i,   // beyond the key range
             })
             .collect();
-        let batched = sst.get_many(&probes, &io, &stats);
+        let mut scratch = SstProbeScratch::default();
+        let batched = sst.get_many_with(&probes, &io, &stats, &mut scratch);
         for (i, &p) in probes.iter().enumerate() {
             assert_eq!(batched[i], sst.get(p, &io, &stats), "key {p}");
         }
-        assert!(sst.get_many(&[], &io, &stats).is_empty());
-    }
-
-    #[test]
-    fn range_non_empty_many_matches_sequential_scans() {
-        let sst = build(1000);
-        let io = IoModel::default();
-        let stats = ReadStats::new();
-        let ranges: Vec<(u64, u64)> = (0..400u64)
-            .map(|i| match i % 4 {
-                0 => (i * 10, i * 10 + 25),    // hits stored keys
-                1 => (i * 10 + 1, i * 10 + 5), // gap between 10-spaced keys
-                2 => (30_000 + i, 40_000),     // beyond the key range
-                _ => (i * 10 + 5, i * 10),     // reversed bounds
-            })
-            .collect();
-        let batched = sst.range_non_empty_many(&ranges, &io, &stats);
-        for (i, &(lo, hi)) in ranges.iter().enumerate() {
-            assert_eq!(
-                batched[i],
-                !sst.scan(lo, hi, 1, &io, &stats).is_empty(),
-                "range [{lo},{hi}]"
-            );
-        }
+        assert!(sst.get_many_with(&[], &io, &stats, &mut scratch).is_empty());
     }
 
     #[test]

@@ -71,8 +71,11 @@ pub struct ReadStats {
     /// is an *implicit true negative* — see
     /// [`ReadStatsSnapshot::effective_fpr`].
     pub ssts_pruned: AtomicU64,
-    /// `(query, SST)` probe pairs the router selected for probing (tree
-    /// routing: the surviving candidates; scan-all: every live SST).
+    /// `(SST, query)` pairs the `Db` read router selected: under tree
+    /// routing the pairs the descent reached, under scan-all every live SST
+    /// paired with every query the memtable left open. A pair counts even
+    /// when the read skips it because another SST already answered the
+    /// query, so a batch counts exactly what its queries would count alone.
     pub ssts_probed: AtomicU64,
     /// Filter-tree rebuild events: recovery fallbacks (missing, corrupt or
     /// stale `TREE` file) and subtree rebuilds after a leaf retirement.
@@ -192,7 +195,7 @@ impl ReadStats {
         add(&self.ssts_pruned, n);
     }
 
-    /// Record `n` `(query, SST)` pairs selected for probing.
+    /// Record `n` `(SST, query)` pairs selected for probing.
     pub fn record_ssts_probed(&self, n: u64) {
         add(&self.ssts_probed, n);
     }
@@ -276,7 +279,8 @@ pub struct ReadStatsSnapshot {
     pub tree_probes: u64,
     /// `(query, SST)` probe pairs the filter tree pruned (probes avoided).
     pub ssts_pruned: u64,
-    /// `(query, SST)` probe pairs the router selected for probing.
+    /// `(SST, query)` pairs the read router selected (see
+    /// [`ReadStats::ssts_probed`]).
     pub ssts_probed: u64,
     /// Filter-tree rebuild events (recovery fallback / subtree rebuild).
     pub tree_rebuilds: u64,

@@ -467,18 +467,11 @@ impl FilterTree {
         tree
     }
 
-    /// Candidate SSTs for one point lookup, ascending by age. The result is
-    /// a superset of the SSTs containing `key` (filters and fences never
-    /// produce false negatives), so probing only the candidates is
-    /// answer-preserving.
-    pub fn candidates_point(&self, key: u64, stats: &ReadStats) -> Vec<usize> {
-        self.candidates_points(&[key], stats)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Batched [`FilterTree::candidates_point`]: element `i` answers
-    /// `keys[i]`. Each node probes its surviving queries in one call to the
+    /// Candidate SSTs per point lookup: element `i` lists, ascending by
+    /// age, the SSTs `keys[i]` may live in. Each list is a superset of the
+    /// SSTs containing the key (filters and fences never produce false
+    /// negatives), so probing only the candidates is answer-preserving.
+    /// Each node probes its surviving queries in one call to the
     /// level-grouped batch engine.
     pub fn candidates_points(&self, keys: &[u64], stats: &ReadStats) -> Vec<Vec<usize>> {
         per_query(keys.len(), &self.route_points(keys, stats))
@@ -506,58 +499,34 @@ impl FilterTree {
         )
     }
 
-    /// Candidate SSTs for one range-emptiness check over `[lo, hi]`,
-    /// ascending by age. Reversed bounds descend everywhere (no pruning) so
-    /// routed reads answer exactly like a scan over all tables.
-    pub fn candidates_range(&self, lo: u64, hi: u64, stats: &ReadStats) -> Vec<usize> {
-        self.candidates_ranges(&[(lo, hi)], stats)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Batched [`FilterTree::candidates_range`]: element `i` answers
-    /// `ranges[i]`. Node probes reuse the two-path dyadic range lookup via
+    /// Candidate SSTs per range-emptiness check: element `i` lists,
+    /// ascending by age, the SSTs that may hold a key in `ranges[i]`.
+    /// Reversed bounds (`lo > hi`) are an empty interval and have no
+    /// candidates. Node probes reuse the two-path dyadic range lookup via
     /// [`BloomRf::contains_range_batch`].
     pub fn candidates_ranges(&self, ranges: &[(u64, u64)], stats: &ReadStats) -> Vec<Vec<usize>> {
         per_query(ranges.len(), &self.route_ranges(ranges, stats))
     }
 
-    /// [`FilterTree::route_points`] for a range batch.
+    /// [`FilterTree::route_points`] for a range batch. The fence rejects a
+    /// reversed range at the root, so the filters only see forward ones.
     pub(crate) fn route_ranges(
         &self,
         ranges: &[(u64, u64)],
         stats: &ReadStats,
     ) -> Vec<(usize, usize)> {
         // Reused across every node the descent visits, like the point path.
-        let mut forward: Vec<(usize, (u64, u64))> = Vec::new();
         let mut probe: Vec<(u64, u64)> = Vec::new();
-        let mut fwd_verdicts: Vec<bool> = Vec::new();
         self.descend(
             ranges.len(),
             &|node, q| {
                 let (lo, hi) = ranges[q];
-                // Reversed bounds: never prune, mirror the scan-all path.
-                lo > hi || (lo <= node.hi && hi >= node.lo)
+                lo <= hi && lo <= node.hi && hi >= node.lo
             },
             &mut |filter, queries, verdicts| {
-                verdicts.clear();
-                verdicts.resize(queries.len(), true);
-                forward.clear();
-                forward.extend(
-                    queries
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &q)| ranges[q].0 <= ranges[q].1)
-                        .map(|(slot, &q)| (slot, ranges[q])),
-                );
-                if !forward.is_empty() {
-                    probe.clear();
-                    probe.extend(forward.iter().map(|&(_, r)| r));
-                    filter.contains_range_batch_into(&probe, &mut fwd_verdicts);
-                    for (&(slot, _), &verdict) in forward.iter().zip(fwd_verdicts.iter()) {
-                        verdicts[slot] = verdict;
-                    }
-                }
+                probe.clear();
+                probe.extend(queries.iter().map(|&q| ranges[q]));
+                filter.contains_range_batch_into(&probe, verdicts);
             },
             stats,
         )
@@ -811,6 +780,16 @@ mod tests {
         SsTable::build(&entries, 4, kind, 14.0)
     }
 
+    /// Candidates of one point query.
+    fn point(tree: &FilterTree, key: u64, stats: &ReadStats) -> Vec<usize> {
+        tree.candidates_points(&[key], stats).pop().unwrap()
+    }
+
+    /// Candidates of one range query.
+    fn range(tree: &FilterTree, lo: u64, hi: u64, stats: &ReadStats) -> Vec<usize> {
+        tree.candidates_ranges(&[(lo, hi)], stats).pop().unwrap()
+    }
+
     /// 12 SSTs, fan-out 3: four disjoint key decades per "segment".
     fn build_fixture(kind: FilterKind) -> (Vec<SsTable>, FilterTree) {
         let ssts: Vec<SsTable> = (0..12u64)
@@ -839,7 +818,7 @@ mod tests {
             for (j, sst) in ssts.iter().enumerate() {
                 for &k in &sst.keys() {
                     assert!(
-                        tree.candidates_point(k, &stats).contains(&j),
+                        point(&tree, k, &stats).contains(&j),
                         "key {k} lost at n={n}"
                     );
                 }
@@ -856,13 +835,13 @@ mod tests {
         // Present keys route to exactly their owner (disjoint decades, and
         // fences alone separate them).
         for i in 0..12u64 {
-            let c = tree.candidates_point(i * 1000 + 20, &stats);
+            let c = point(&tree, i * 1000 + 20, &stats);
             assert!(c.contains(&(i as usize)));
             assert!(c.len() <= 2, "candidates {c:?} for decade {i}");
         }
         stats.reset();
         // A key far outside every fence is pruned at the root.
-        let c = tree.candidates_point(u64::MAX / 2, &stats);
+        let c = point(&tree, u64::MAX / 2, &stats);
         assert!(c.is_empty());
         let snap = stats.snapshot();
         assert_eq!(snap.tree_probes, 1, "root fence should reject in one probe");
@@ -870,7 +849,7 @@ mod tests {
     }
 
     #[test]
-    fn range_descent_matches_brute_force_and_reversed_ranges_never_prune() {
+    fn range_descent_matches_brute_force_and_reversed_ranges_route_nowhere() {
         let (ssts, tree) = build_fixture(FilterKind::BloomRfBasic);
         let stats = ReadStats::new();
         let ranges = [
@@ -883,7 +862,7 @@ mod tests {
         ];
         let batch = tree.candidates_ranges(&ranges, &stats);
         for (&(lo, hi), candidates) in ranges.iter().zip(&batch) {
-            assert_eq!(*candidates, tree.candidates_range(lo, hi, &stats));
+            assert_eq!(*candidates, range(&tree, lo, hi, &stats));
             for (i, sst) in ssts.iter().enumerate() {
                 let truly_hits = sst.keys().iter().any(|&k| k >= lo && k <= hi);
                 if truly_hits {
@@ -891,9 +870,11 @@ mod tests {
                 }
             }
         }
-        // Reversed bounds bypass pruning entirely.
-        let all = tree.candidates_range(10, 5, &stats);
-        assert_eq!(all, (0..12).collect::<Vec<_>>());
+        // Reversed bounds are an empty interval: the root fence rejects them.
+        stats.reset();
+        assert!(range(&tree, 10, 5, &stats).is_empty());
+        assert_eq!(stats.snapshot().tree_probes, 1);
+        assert_eq!(stats.snapshot().ssts_pruned, 12);
     }
 
     #[test]
@@ -903,7 +884,7 @@ mod tests {
         let keys: Vec<u64> = (0..40u64).map(|i| i * 317).collect();
         let batch = tree.candidates_points(&keys, &stats);
         for (&k, candidates) in keys.iter().zip(&batch) {
-            assert_eq!(*candidates, tree.candidates_point(k, &stats));
+            assert_eq!(*candidates, point(&tree, k, &stats));
         }
     }
 
@@ -915,7 +896,7 @@ mod tests {
             (0u64, 5u64),
             (995, 1005),
             (3005, 3008),
-            (10, 5), // reversed: descends everywhere
+            (10, 5), // reversed: rejected at the root
             (500, 520),
             (20_000, 30_000),
             (11_030, 11_030),
@@ -933,7 +914,7 @@ mod tests {
             let (batched, singles) = (ReadStats::new(), ReadStats::new());
             tree.candidates_points(&keys, &batched);
             for &k in &keys {
-                tree.candidates_point(k, &singles);
+                point(&tree, k, &singles);
             }
             assert_eq!(counters(&batched), counters(&singles), "points");
             assert!(counters(&batched).0 > keys.len() as u64);
@@ -941,7 +922,7 @@ mod tests {
             let (batched, singles) = (ReadStats::new(), ReadStats::new());
             tree.candidates_ranges(&ranges, &batched);
             for &(lo, hi) in &ranges {
-                tree.candidates_range(lo, hi, &singles);
+                range(&tree, lo, hi, &singles);
             }
             assert_eq!(counters(&batched), counters(&singles), "ranges");
             assert!(counters(&batched).0 > ranges.len() as u64);
@@ -956,15 +937,15 @@ mod tests {
         assert_eq!(tree.live_leaves(), 11);
         assert_eq!(stats.snapshot().tree_rebuilds, 1);
         // The retired SST is never a candidate again...
-        assert!(!tree.candidates_point(5020, &stats).contains(&5));
+        assert!(!point(&tree, 5020, &stats).contains(&5));
         // ...its sibling under the same rebuilt ancestors still is...
-        assert!(tree.candidates_point(4020, &stats).contains(&4));
+        assert!(point(&tree, 4020, &stats).contains(&4));
         // ...and retiring twice is a no-op.
         tree.retire_leaf(5, &ssts, &stats);
         assert_eq!(stats.snapshot().tree_rebuilds, 1);
         // Pruning accounting uses the live count.
         stats.reset();
-        let c = tree.candidates_point(u64::MAX / 2, &stats);
+        let c = point(&tree, u64::MAX / 2, &stats);
         assert!(c.is_empty());
         assert_eq!(stats.snapshot().ssts_pruned, 11);
     }
@@ -995,7 +976,7 @@ mod tests {
         for (i, sst) in ssts.iter().enumerate() {
             for &k in &sst.keys() {
                 assert!(
-                    tree.candidates_point(k, &stats).contains(&i),
+                    point(&tree, k, &stats).contains(&i),
                     "key {k} lost after splice"
                 );
             }
@@ -1008,7 +989,7 @@ mod tests {
         ssts.push(sst_of(&[90_000, 90_001], FilterKind::BloomRfBasic));
         tree.push_leaf(&ssts);
         assert_eq!(tree.num_leaves(), 10);
-        assert!(tree.candidates_point(90_000, &stats).contains(&9));
+        assert!(point(&tree, 90_000, &stats).contains(&9));
     }
 
     #[test]
@@ -1025,7 +1006,7 @@ mod tests {
         assert!(tree.validate_against(&ssts, 3, 4, 14.0));
         for (i, sst) in ssts.iter().enumerate() {
             for &k in &sst.keys() {
-                assert!(tree.candidates_point(k, &stats).contains(&i));
+                assert!(point(&tree, k, &stats).contains(&i));
             }
         }
         // Splicing everything away empties the tree.
@@ -1033,11 +1014,11 @@ mod tests {
         tree.retire_and_splice(0..10, None, &none, &stats);
         assert_eq!(tree.num_leaves(), 0);
         assert_eq!(tree.depth(), 0);
-        assert!(tree.candidates_point(1000, &stats).is_empty());
+        assert!(point(&tree, 1000, &stats).is_empty());
         // An emptied tree accepts fresh leaves again.
         let fresh = vec![sst_of(&[5, 6], FilterKind::BloomRfBasic)];
         tree.push_leaf(&fresh);
-        assert!(tree.candidates_point(5, &stats).contains(&0));
+        assert!(point(&tree, 5, &stats).contains(&0));
     }
 
     #[test]
@@ -1072,8 +1053,8 @@ mod tests {
         // The decoded tree routes identically.
         for i in 0..12u64 {
             assert_eq!(
-                decoded.candidates_point(i * 1000, &stats),
-                tree.candidates_point(i * 1000, &stats)
+                point(&decoded, i * 1000, &stats),
+                point(&tree, i * 1000, &stats)
             );
         }
         // Stale against a different SST set or different tuning.
@@ -1105,8 +1086,8 @@ mod tests {
         let stats = ReadStats::new();
         assert_eq!(tree.num_leaves(), 0);
         assert_eq!(tree.depth(), 0);
-        assert!(tree.candidates_point(7, &stats).is_empty());
-        assert!(tree.candidates_range(0, 100, &stats).is_empty());
+        assert!(point(&tree, 7, &stats).is_empty());
+        assert!(range(&tree, 0, 100, &stats).is_empty());
         assert_eq!(stats.snapshot().tree_probes, 0);
         let decoded = FilterTree::from_bytes(&tree.to_bytes()).expect("empty roundtrip");
         assert!(decoded.validate_against(&[], 16, 8, 14.0));

@@ -2,9 +2,10 @@
 //! reads must be byte-identical to the scan-all reference path — for every
 //! read API, for every fan-out, with data split across memtable and SSTs,
 //! and after fault-injected recovery rebuilt the tree and quarantined
-//! filters. Plus the headline acceptance check: at 1 000 SSTs a point get
+//! filters — and must agree with a `BTreeMap` model of the writes. Plus the headline acceptance check: at 1 000 SSTs a point get
 //! probes O(fan-out · depth) filters, not 1 000.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -184,6 +185,12 @@ fn thousand_ssts_point_gets_probe_fanout_times_depth_not_one_thousand() {
 /// tombstone must block an older put. The point probes repeat half the
 /// written keys, so one batch holds the same key twice. Returns the
 /// tree-routed store.
+///
+/// Both routings share one read pipeline, so their agreement says nothing
+/// about the pipeline itself; a `BTreeMap` model of the write stream is the
+/// independent reference. Point reads must equal the model, and range
+/// verdicts (a *possibly*-non-empty answer) must be `true` wherever the
+/// model holds a live key and `false` for reversed ranges.
 fn check_routed_matches_scan_all(
     keys: &[u64],
     delete_every: usize,
@@ -195,20 +202,24 @@ fn check_routed_matches_scan_all(
 ) -> Db {
     let scan = Db::new(options(flush_entries, ReadRouting::ScanAll));
     let routed = Db::new(options(flush_entries, tree_routing(fanout)));
+    let mut model: BTreeMap<u64, Option<Vec<u8>>> = BTreeMap::new();
     for (i, &k) in keys.iter().enumerate() {
         let v = value_for(k, i);
         scan.put(k, v.clone());
-        routed.put(k, v);
+        routed.put(k, v.clone());
+        model.insert(k, Some(v));
         if i % 3 == 0 {
             let older = keys[i / 2];
             let v = value_for(older, i + 1);
             scan.put(older, v.clone());
-            routed.put(older, v);
+            routed.put(older, v.clone());
+            model.insert(older, Some(v));
         }
         if deletes_at(i, delete_every) {
             let older = keys[i / 3];
             scan.delete(older);
             routed.delete(older);
+            model.insert(older, None);
         }
     }
     if final_flush {
@@ -220,8 +231,8 @@ fn check_routed_matches_scan_all(
     let mut probes: Vec<u64> = keys.to_vec();
     probes.extend_from_slice(extra_probes);
     probes.extend(keys.iter().step_by(2));
-    // Deliberately include reversed ranges: they must answer exactly like
-    // scan-all (the tree never prunes a reversed interval).
+    // Deliberately include reversed ranges: an empty interval under
+    // either routing.
     let mut all_ranges = ranges.to_vec();
     all_ranges.extend(
         keys.iter()
@@ -229,6 +240,24 @@ fn check_routed_matches_scan_all(
     );
     all_ranges.extend(keys.iter().step_by(3).map(|&k| (k, k)));
     assert_reads_identical(&scan, &routed, &probes, &all_ranges, "in-memory");
+
+    let expected: Vec<Option<Vec<u8>>> = probes
+        .iter()
+        .map(|k| model.get(k).cloned().flatten())
+        .collect();
+    for (&k, want) in probes.iter().zip(&expected) {
+        assert_eq!(routed.get(k), *want, "model: get({k})");
+    }
+    assert_eq!(routed.get_batch(&probes, 1), expected, "model: get_batch");
+    let verdicts = routed.range_non_empty_batch(&all_ranges, 1);
+    for (&(lo, hi), &batched) in all_ranges.iter().zip(&verdicts) {
+        let single = routed.range_is_possibly_non_empty(lo, hi);
+        if lo > hi {
+            assert!(!single && !batched, "model: reversed range [{lo}, {hi}]");
+        } else if model.range(lo..=hi).any(|(_, v)| v.is_some()) {
+            assert!(single && batched, "model: live key in [{lo}, {hi}]");
+        }
+    }
     routed
 }
 
